@@ -1,6 +1,6 @@
 package repro.baselines
 
-/** HyperLogLog estimator math shared by HLL++, vHLL and the SQL aggregate.
+/** HyperLogLog estimator math shared by HLL++ and vHLL.
   *
   * `alpha(m)` follows the paper's constants: tabulated values at
   * m ∈ {16, 32, 64} and `0.7213/(1 + 1.079/m)` for m ≥ 128; other m fall
@@ -42,8 +42,8 @@ object Hll {
     } else raw
   }
 
-  /** Estimate straight from a raw register byte-array (used by the Spark
-    * `Aggregator`, whose buffer is a plain `Array[Byte]`).
+  /** Estimate straight from a raw register byte-array (a plain
+    * `Array[Byte]` of register values, as `RegisterArray.snapshot` gives).
     */
   def estimateFromRegisters(regs: Array[Byte]): Double = {
     val m = regs.length

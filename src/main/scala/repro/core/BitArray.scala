@@ -5,12 +5,17 @@ package repro.core
   * This is the shared-array substrate of FreeBS and CSE: O(1) `set`/`get`,
   * and `zeros` maintained incrementally so the Horvitz–Thompson probability
   * `q_B = zeros / size` is available in O(1) at every step.
+  *
+  * Built from saved state (`ceil(size / 64)` packed [[words]] and their
+  * [[zeros]]), the array adopts it without a copy.
   */
-final class BitArray(val size: Long) {
-  require(size > 0, s"bit array size must be positive, got $size")
+final class BitArray(val size: Long, val words: Array[Long], private var zeroCount: Long) {
+  require(words.length == BitArray.wordCount(size),
+    s"a $size-bit array needs ${BitArray.wordCount(size)} words, got ${words.length}")
+  require(zeroCount >= 0 && zeroCount <= size, s"zero count $zeroCount out of [0, $size]")
 
-  private val words = new Array[Long](((size + 63) >>> 6).toInt)
-  private var zeroCount: Long = size
+  /** An all-zero array of `size` bits. */
+  def this(size: Long) = this(size, new Array[Long](BitArray.wordCount(size)), size)
 
   /** Number of bits still zero. */
   def zeros: Long = zeroCount
@@ -36,6 +41,14 @@ final class BitArray(val size: Long) {
     } else false
   }
 
+  /** The FreeBS step: set bit `i`; return the Horvitz–Thompson increment
+    * `size / zeros` (zeros before the flip), or 0.0 if the bit was set.
+    */
+  def offer(i: Long): Double = {
+    val zerosBefore = zeroCount
+    if (set(i)) size.toDouble / zerosBefore else 0.0
+  }
+
   /** Recount zeros from the raw words (O(size/64)); test cross-check. */
   def recountZeros(): Long = {
     var ones = 0L
@@ -44,11 +57,13 @@ final class BitArray(val size: Long) {
     size - ones
   }
 
-  /** Raw backing words (defensive copy) — used by the dataflow layer to
-    * compare final array state across execution strategies.
-    */
-  def snapshotWords: Array[Long] = words.clone()
-
   /** Memory footprint in bits (the quantity the paper budgets by). */
   def memoryBits: Long = size
+}
+
+object BitArray {
+  private def wordCount(size: Long): Int = {
+    require(size > 0, s"bit array size must be positive, got $size")
+    ((size + 63) >>> 6).toInt
+  }
 }

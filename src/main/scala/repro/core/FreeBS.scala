@@ -26,10 +26,8 @@ final class FreeBS(val m: Long, val seed: Long = 17L) extends UserCardinalitySke
   override def name: String = "FreeBS"
 
   override def update(s: Long, d: Long): Unit = {
-    val i = Hashing.pairIndex(s, d, m, seed)
-    val zerosBefore = bits.zeros // q_B = zerosBefore / m, the pre-flip probability
-    if (bits.set(i)) {
-      val inc = m.toDouble / zerosBefore
+    val inc = bits.offer(Hashing.pairIndex(s, d, m, seed))
+    if (inc != 0.0) {
       counters(s) = counters.getOrElse(s, 0.0) + inc
       totalEst += inc
     }

@@ -33,10 +33,8 @@ final class FreeRS(val m: Int, val width: Int = 5, val seed: Long = 29L)
 
   override def update(s: Long, d: Long): Unit = {
     val i = Hashing.pairIndex(s, d, m.toLong, seed).toInt
-    val r = Hashing.pairRank(s, d, registers.maxValue, seed)
-    val qPre = registers.sumPow2Neg / m // q_R^{(t)}: pre-update change probability
-    if (registers.update(i, r)) {
-      val inc = 1.0 / qPre
+    val inc = registers.offer(i, Hashing.pairRank(s, d, registers.maxValue, seed))
+    if (inc != 0.0) {
       counters(s) = counters.getOrElse(s, 0.0) + inc
       totalEst += inc
     }

@@ -11,16 +11,22 @@ package repro.core
   * paper's 5-bit registers). For width ≤ 5 and size ≤ 2^21 the incremental
   * sum is *exact* in a Double: every term is a multiple of 2^-31 and the
   * total is ≤ size, which fits in the 53-bit mantissa.
+  *
+  * Built from saved state ([[regs]] and their [[sumPow2Neg]]), the array
+  * adopts it without a copy and recounts the zero registers.
   */
-final class RegisterArray(val size: Int, val width: Int) {
-  require(size > 0, s"register array size must be positive, got $size")
+final class RegisterArray(val size: Int, val width: Int, val regs: Array[Byte],
+                          private var sumPow: Double) {
   require(width >= 1 && width <= 6, s"register width must be in [1,6], got $width")
+  require(regs.length == RegisterArray.checkedSize(size), s"$size registers expected, got ${regs.length}")
+
+  /** An all-zero array of `size` registers: `Σ_j 2^0 = size`. */
+  def this(size: Int, width: Int) =
+    this(size, width, new Array[Byte](RegisterArray.checkedSize(size)), size.toDouble)
 
   val maxValue: Int = (1 << width) - 1
 
-  private val regs = new Array[Byte](size)
-  private var sumPow: Double = size.toDouble // all registers zero: Σ 2^0 = size
-  private var zeroRegs: Int = size
+  private var zeroRegs: Int = countZero
 
   private val pow2Neg: Array[Double] = Array.tabulate(maxValue + 1)(k => math.pow(2.0, -k))
 
@@ -42,6 +48,15 @@ final class RegisterArray(val size: Int, val width: Int) {
       regs(i) = clamped.toByte
       true
     } else false
+  }
+
+  /** The FreeRS step: `max`-update register `i` with rank `r`; return the
+    * Horvitz–Thompson increment `1 / (Σ_j 2^{-R[j]} / size)` (sum before the
+    * update), or 0.0 if the register did not grow.
+    */
+  def offer(i: Int, r: Int): Double = {
+    val qPre = sumPow / size
+    if (update(i, r)) 1.0 / qPre else 0.0
   }
 
   /** Incrementally maintained `Σ_j 2^{-R[j]}`. */
@@ -77,4 +92,11 @@ final class RegisterArray(val size: Int, val width: Int) {
 
   /** Memory footprint in bits (the quantity the paper budgets by). */
   def memoryBits: Long = size.toLong * width
+}
+
+object RegisterArray {
+  private def checkedSize(size: Int): Int = {
+    require(size > 0, s"register array size must be positive, got $size")
+    size
+  }
 }

@@ -9,13 +9,12 @@ import repro.core.{BitArray, Hashing, RegisterArray}
 /** Distributed batch FreeBS/FreeRS over a Spark dataflow (DESIGN.md §3).
   *
   * The shared array of M positions is partitioned into P disjoint slices of
-  * size M/P; pair e goes to slice `h*(e) mod P` at local position
-  * `h*(e) div P`. Each slice is an independent FreeBS/FreeRS instance over
-  * the sub-stream of pairs hashed into it (the hash shards pairs uniformly),
-  * so its Horvitz–Thompson estimate of "distinct pairs of user s landing in
-  * this slice" is unbiased, and summing slice estimates over P recovers an
-  * unbiased estimate of n_s. The final array state (OR of bits / max of
-  * registers) is identical to the sequential run.
+  * size M/P (see [[Slices]]). Each slice is an independent FreeBS/FreeRS
+  * instance over the sub-stream of pairs hashed into it (the hash shards
+  * pairs uniformly), so its Horvitz–Thompson estimate of "distinct pairs of
+  * user s landing in this slice" is unbiased, and summing slice estimates
+  * over P recovers an unbiased estimate of n_s. The final array state (OR of
+  * bits / max of registers) is identical to the sequential run.
   */
 object SlicedFree {
 
@@ -26,54 +25,25 @@ object SlicedFree {
     *
     * @param bigM shared bit-array size; must be divisible by slices
     */
-  def freeBS(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long = 17L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val sliceSize = bigM / slices
-
-    edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM, seed) % slices).toInt)
-      .flatMapGroups { (_: Int, it: Iterator[Edge]) =>
-        val buf = it.toArray.sortBy(_.t) // deterministic within-slice order
-        val bits = new BitArray(sliceSize)
-        val est = mutable.LongMap.empty[Double]
-        buf.foreach { e =>
-          val local = Hashing.pairIndex(e.s, e.d, bigM, seed) / slices
-          val zeros = bits.zeros
-          if (bits.set(local))
-            est(e.s) = est.getOrElse(e.s, 0.0) + sliceSize.toDouble / zeros
-        }
-        est.iterator.map { case (s, v) => (s, v) }
-      }
-      .toDF("s", "delta")
-      .groupBy("s")
-      .agg(sum("delta") as "estimate")
-  }
+  def freeBS(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long = 17L): DataFrame =
+    sliced(edges, bigM, slices, seed)(it =>
+      Slices.freeBS(new BitArray(bigM / slices), it, bigM, slices, seed))
 
   /** Per-user estimates (columns s, estimate) via slice-partitioned FreeRS. */
   def freeRS(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
-             seed: Long = 29L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
+             seed: Long = 29L): DataFrame =
+    sliced(edges, bigM.toLong, slices, seed)(it =>
+      Slices.freeRS(new RegisterArray(bigM / slices, width), it, bigM, slices, seed))
+
+  /** Run `perSlice` on every slice's edges and sum the per-user results. */
+  private def sliced(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
+      perSlice: Iterator[Edge] => mutable.LongMap[Double]): DataFrame = {
+    Slices.requireDivisible(bigM, slices)
     val spark = edges.sparkSession
     import spark.implicits._
-    val sliceSize = bigM / slices
-
     edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) % slices).toInt)
-      .flatMapGroups { (_: Int, it: Iterator[Edge]) =>
-        val buf = it.toArray.sortBy(_.t)
-        val regs = new RegisterArray(sliceSize.toInt, width)
-        val est = mutable.LongMap.empty[Double]
-        buf.foreach { e =>
-          val local = (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) / slices).toInt
-          val r = Hashing.pairRank(e.s, e.d, regs.maxValue, seed)
-          val qPre = regs.sumPow2Neg / sliceSize
-          if (regs.update(local, r))
-            est(e.s) = est.getOrElse(e.s, 0.0) + 1.0 / qPre
-        }
-        est.iterator.map { case (s, v) => (s, v) }
-      }
+      .groupByKey(e => Slices.of(e, bigM, slices, seed))
+      .flatMapGroups((_: Int, it: Iterator[Edge]) => perSlice(it).iterator)
       .toDF("s", "delta")
       .groupBy("s")
       .agg(sum("delta") as "estimate")

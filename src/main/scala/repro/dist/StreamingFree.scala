@@ -3,9 +3,9 @@ package repro.dist
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import scala.collection.mutable
+import scala.reflect.runtime.universe.TypeTag
 
-import repro.core.Hashing
+import repro.core.{BitArray, RegisterArray}
 
 /** Structured Streaming FreeBS/FreeRS (DESIGN.md §3 — the calibration
   * hint's "stateful aggregation (mapGroupsWithState) updating sketch arrays
@@ -13,20 +13,18 @@ import repro.core.Hashing
   *
   * The stream of edges is keyed by array slice; `flatMapGroupsWithState`
   * holds each slice's sketch array (plus its zero count / register sum) as
-  * group state, applies the slice-local FreeBS/FreeRS update to every edge
-  * of the micro-batch, and emits per-user Horvitz–Thompson estimate deltas.
-  * A downstream streaming aggregation `groupBy(user).sum(delta)` maintains
-  * the live per-user cardinality estimates — available at every trigger, as
-  * the paper's "anytime" requirement demands. Duplicate edges are absorbed
-  * by the slice state across micro-batches.
+  * group state, runs the micro-batch through the slice loop of [[Slices]],
+  * and emits per-user Horvitz–Thompson estimate deltas. A downstream
+  * streaming aggregation `groupBy(user).sum(delta)` maintains the live
+  * per-user cardinality estimates — available at every trigger, as the
+  * paper's "anytime" requirement demands. Duplicate edges are absorbed by
+  * the slice state across micro-batches.
   */
 object StreamingFree {
 
   /** One stream edge: arrival index t, user s, item d. */
-  final case class Edge(t: Long, s: Long, d: Long)
-
-  /** Per-user estimate delta emitted by a slice for one micro-batch. */
-  final case class Delta(user: Long, delta: Double)
+  type Edge = SlicedFree.Edge
+  val Edge = SlicedFree.Edge
 
   /** FreeBS slice state: packed bit words + remaining zero count. */
   final case class BsState(words: Array[Long], zeros: Long)
@@ -34,80 +32,53 @@ object StreamingFree {
   /** FreeRS slice state: register bytes + Σ 2^-R[j]. */
   final case class RsState(regs: Array[Byte], sumPow: Double)
 
+  // `state.get` deserialises the stored row into fresh arrays and
+  // `state.update` serialises them again, so no copy is needed here.
+
   private def bsUpdate(bigM: Long, slices: Int, seed: Long)(
-      slice: Int, edges: Iterator[Edge], state: GroupState[BsState]): Iterator[Delta] = {
-    val sliceSize = bigM / slices
-    val st = if (state.exists) state.get
-             else BsState(new Array[Long](((sliceSize + 63) >>> 6).toInt), sliceSize)
-    val words = st.words.clone()
-    var zeros = st.zeros
-    val acc = mutable.LongMap.empty[Double]
-    edges.foreach { e =>
-      val local = Hashing.pairIndex(e.s, e.d, bigM, seed) / slices
-      val w = (local >>> 6).toInt
-      val mask = 1L << (local & 63)
-      if ((words(w) & mask) == 0) {
-        acc(e.s) = acc.getOrElse(e.s, 0.0) + sliceSize.toDouble / zeros
-        words(w) |= mask
-        zeros -= 1
-      }
-    }
-    state.update(BsState(words, zeros))
-    acc.iterator.map { case (s, v) => Delta(s, v) }.toList.iterator
+      slice: Int, edges: Iterator[Edge], state: GroupState[BsState]): Iterator[(Long, Double)] = {
+    val bits = state.getOption.fold(new BitArray(bigM / slices))(st =>
+      new BitArray(bigM / slices, st.words, st.zeros))
+    val est = Slices.freeBS(bits, edges, bigM, slices, seed)
+    state.update(BsState(bits.words, bits.zeros))
+    est.iterator
   }
 
   private def rsUpdate(bigM: Int, slices: Int, width: Int, seed: Long)(
-      slice: Int, edges: Iterator[Edge], state: GroupState[RsState]): Iterator[Delta] = {
-    val sliceSize = bigM / slices
-    val maxValue = (1 << width) - 1
-    val st = if (state.exists) state.get
-             else RsState(new Array[Byte](sliceSize), sliceSize.toDouble)
-    val regs = st.regs.clone()
-    var sumPow = st.sumPow
-    val acc = mutable.LongMap.empty[Double]
-    edges.foreach { e =>
-      val local = (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) / slices).toInt
-      val r = math.min(Hashing.pairRank(e.s, e.d, maxValue, seed), maxValue)
-      val old = regs(local).toInt
-      if (r > old) {
-        val qPre = sumPow / sliceSize
-        acc(e.s) = acc.getOrElse(e.s, 0.0) + 1.0 / qPre
-        sumPow += math.pow(2.0, -r) - math.pow(2.0, -old)
-        regs(local) = r.toByte
-      }
-    }
-    state.update(RsState(regs, sumPow))
-    acc.iterator.map { case (s, v) => Delta(s, v) }.toList.iterator
+      slice: Int, edges: Iterator[Edge], state: GroupState[RsState]): Iterator[(Long, Double)] = {
+    val registers = state.getOption.fold(new RegisterArray(bigM / slices, width))(st =>
+      new RegisterArray(bigM / slices, width, st.regs, st.sumPow))
+    val est = Slices.freeRS(registers, edges, bigM, slices, seed)
+    state.update(RsState(registers.regs, registers.sumPow2Neg))
+    est.iterator
   }
 
   /** Streaming per-user FreeBS estimates: a streaming DataFrame
     * (user, estimate) to be written with OutputMode.Complete.
     */
   def freeBSEstimates(edges: Dataset[Edge], bigM: Long, slices: Int,
-                      seed: Long = 17L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM, seed) % slices).toInt)
-      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout)(
-        bsUpdate(bigM, slices, seed))
-      .groupBy("user")
-      .agg(sum("delta") as "estimate")
-  }
+                      seed: Long = 17L): DataFrame =
+    estimates[BsState](edges, bigM, slices, seed)(bsUpdate(bigM, slices, seed))
 
   /** Streaming per-user FreeRS estimates: a streaming DataFrame
     * (user, estimate) to be written with OutputMode.Complete.
     */
   def freeRSEstimates(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
-                      seed: Long = 29L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
+                      seed: Long = 29L): DataFrame =
+    estimates[RsState](edges, bigM.toLong, slices, seed)(rsUpdate(bigM, slices, width, seed))
+
+  /** Key the edges by slice, run the stateful slice update, and sum the
+    * per-user deltas into live estimates.
+    */
+  private def estimates[S <: Product : TypeTag](edges: Dataset[Edge], bigM: Long, slices: Int,
+      seed: Long)(update: (Int, Iterator[Edge], GroupState[S]) => Iterator[(Long, Double)]): DataFrame = {
+    Slices.requireDivisible(bigM, slices)
     val spark = edges.sparkSession
     import spark.implicits._
     edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) % slices).toInt)
-      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout)(
-        rsUpdate(bigM, slices, width, seed))
+      .groupByKey(e => Slices.of(e, bigM, slices, seed))
+      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout)(update)
+      .toDF("user", "delta")
       .groupBy("user")
       .agg(sum("delta") as "estimate")
   }

@@ -54,12 +54,22 @@ class BitArraySpec extends SparkSpec {
     intercept[IllegalArgumentException](new BitArray(-5))
   }
 
-  test("snapshotWords is a defensive copy") {
-    val b = new BitArray(64)
-    b.set(3)
-    val snap = b.snapshotWords
-    snap(0) = 0L
-    assert(b.get(3))
+  test("offer returns size / zeros-before on a flip and 0.0 on a repeat") {
+    val b = new BitArray(100)
+    assert(b.offer(42) == 1.0)
+    assert(b.offer(7) == 100.0 / 99)
+    assert(b.offer(42) == 0.0)
+    assert(b.zeros == 98)
+  }
+
+  test("state read back from words and zeros continues the same run") {
+    val b = new BitArray(130)
+    Seq(0L, 64L, 129L).foreach(b.set)
+    val back = new BitArray(130, b.words.clone(), b.zeros)
+    assert(back.zeros == 127 && back.get(64) && !back.get(1))
+    Seq(1L, 64L, 128L).foreach(i => assert(back.offer(i) == b.offer(i)))
+    intercept[IllegalArgumentException](new BitArray(130, new Array[Long](2), 130))
+    intercept[IllegalArgumentException](new BitArray(130, new Array[Long](3), 131))
   }
 
   test("memoryBits equals the declared size") {

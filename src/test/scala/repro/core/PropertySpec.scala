@@ -62,6 +62,36 @@ class PropertySpec extends SparkSpec {
     }, tests = 50)
   }
 
+  test("property: BitArray.offer is size / zeros-before on a flip, 0.0 on a repeat, across a state round trip") {
+    val ops = Gen.listOfN(200, Gen.chooseNum(0L, 255L))
+    check(Prop.forAll(ops, Gen.chooseNum(0, 200)) { (ixs, cut) =>
+      val seen = scala.collection.mutable.Set.empty[Long]
+      def expected(i: Long): Double =
+        if (seen.add(i)) 256.0 / (256 - seen.size + 1) else 0.0
+      val b = new BitArray(256)
+      val okBefore = ixs.take(cut).map(i => b.offer(i) == expected(i)).forall(identity)
+      val back = new BitArray(256, b.words.clone(), b.zeros)
+      okBefore && ixs.drop(cut).map(i => (b.offer(i), back.offer(i), expected(i)))
+        .forall { case (x, y, e) => x == e && y == e }
+    }, tests = 50)
+  }
+
+  test("property: RegisterArray.offer is 1 / (sum-before / size) on growth, 0.0 otherwise, across a state round trip") {
+    val ops = Gen.listOfN(200, Gen.zip(Gen.chooseNum(0, 63), Gen.chooseNum(0, 40)))
+    check(Prop.forAll(ops, Gen.chooseNum(0, 200)) { (ps, cut) =>
+      val model = new Array[Int](64)
+      def expected(i: Int, v: Int): Double = {
+        val qPre = model.map(k => math.pow(2.0, -k)).sum / 64
+        if (math.min(v, 31) > model(i)) { model(i) = math.min(v, 31); 1.0 / qPre } else 0.0
+      }
+      val r = new RegisterArray(64, 5)
+      val okBefore = ps.take(cut).map { case (i, v) => r.offer(i, v) == expected(i, v) }.forall(identity)
+      val back = new RegisterArray(64, 5, r.regs.clone(), r.sumPow2Neg)
+      okBefore && ps.drop(cut).map { case (i, v) => (r.offer(i, v), back.offer(i, v), expected(i, v)) }
+        .forall { case (x, y, e) => x == e && y == e }
+    }, tests = 50)
+  }
+
   test("property: FreeBS is invariant under duplicate replays") {
     val stream = Gen.listOfN(100, Gen.zip(Gen.chooseNum(0L, 9L), Gen.chooseNum(0L, 49L)))
     check(Prop.forAll(stream) { edges =>

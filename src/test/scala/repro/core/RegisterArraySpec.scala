@@ -80,6 +80,24 @@ class RegisterArraySpec extends SparkSpec {
     intercept[IllegalArgumentException](new RegisterArray(8, 0))
   }
 
+  test("offer returns 1 / (sum-before / size) on growth and 0.0 otherwise") {
+    val r = new RegisterArray(4, 5)
+    assert(r.offer(0, 3) == 1.0)
+    assert(r.offer(1, 1) == 1.0 / (3.125 / 4))
+    assert(r.offer(0, 2) == 0.0)
+    assert(r.offer(0, 3) == 0.0)
+    assert(r.offer(2, 0) == 0.0)
+  }
+
+  test("state read back from regs and sumPow2Neg continues the same run") {
+    val r = new RegisterArray(16, 5)
+    r.update(2, 1); r.update(9, 5)
+    val back = new RegisterArray(16, 5, r.regs.clone(), r.sumPow2Neg)
+    assert(back.get(9) == 5 && back.zeros == 14 && back.sumPow2Neg == r.sumPow2Neg)
+    Seq((9, 4), (9, 7), (3, 2), (2, 1)).foreach { case (i, k) => assert(back.offer(i, k) == r.offer(i, k)) }
+    intercept[IllegalArgumentException](new RegisterArray(16, 5, new Array[Byte](15), 16.0))
+  }
+
   test("snapshot is a defensive copy") {
     val r = new RegisterArray(8, 5)
     r.update(1, 9)

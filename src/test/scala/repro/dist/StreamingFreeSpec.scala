@@ -40,6 +40,10 @@ class StreamingFreeSpec extends SparkSpec {
     (es, rows)
   }
 
+  /** Batches of 3, 3 and the rest, each in reverse arrival order. */
+  private def reversedBatches(edges: Seq[Edge]): Seq[Seq[Edge]] =
+    Seq(edges.take(3), edges.slice(3, 6), edges.drop(6)).map(_.reverse)
+
   test("streaming FreeBS over three micro-batches tracks the truth") {
     val (es, rows) = edgesOf(3L)
     val batches = rows.grouped(rows.length / 3 + 1).toSeq
@@ -81,13 +85,16 @@ class StreamingFreeSpec extends SparkSpec {
     val edges = Seq(
       Edge(0, 1, 10), Edge(1, 2, 20), Edge(2, 1, 11), Edge(3, 1, 10), // dup
       Edge(4, 2, 21), Edge(5, 3, 30), Edge(6, 1, 12))
-    val got = runStream(edges.map(Seq(_)), "sseq")(ds =>
-      StreamingFree.freeBSEstimates(ds, 64L, 1, 17L))
     val seq = new FreeBS(64L, 17L)
     edges.foreach(e => seq.update(e.s, e.d))
-    Seq(1L, 2L, 3L).foreach { u =>
-      assert(math.abs(got(u) - seq.estimate(u)) < 1e-9,
-        s"user $u streaming ${got(u)} vs sequential ${seq.estimate(u)}")
+    // Also multi-edge batches, each fed in reverse t order: a slice applies
+    // a batch in t order.
+    Seq(edges.map(Seq(_)) -> "sseq", reversedBatches(edges) -> "sseqrev").foreach { case (batches, name) =>
+      val got = runStream(batches, name)(ds => StreamingFree.freeBSEstimates(ds, 64L, 1, 17L))
+      Seq(1L, 2L, 3L).foreach { u =>
+        assert(math.abs(got(u) - seq.estimate(u)) < 1e-9,
+          s"$name: user $u streaming ${got(u)} vs sequential ${seq.estimate(u)}")
+      }
     }
   }
 
@@ -95,12 +102,13 @@ class StreamingFreeSpec extends SparkSpec {
     val edges = Seq(
       Edge(0, 1, 10), Edge(1, 2, 20), Edge(2, 1, 11), Edge(3, 2, 20), // dup
       Edge(4, 3, 30), Edge(5, 1, 12))
-    val got = runStream(edges.map(Seq(_)), "sseqr")(ds =>
-      StreamingFree.freeRSEstimates(ds, 64, 1, 5, 29L))
     val seq = new FreeRS(64, 5, 29L)
     edges.foreach(e => seq.update(e.s, e.d))
-    Seq(1L, 2L, 3L).foreach { u =>
-      assert(math.abs(got(u) - seq.estimate(u)) < 1e-9, s"user $u")
+    Seq(edges.map(Seq(_)) -> "sseqr", reversedBatches(edges) -> "sseqrrev").foreach { case (batches, name) =>
+      val got = runStream(batches, name)(ds => StreamingFree.freeRSEstimates(ds, 64, 1, 5, 29L))
+      Seq(1L, 2L, 3L).foreach { u =>
+        assert(math.abs(got(u) - seq.estimate(u)) < 1e-9, s"$name: user $u")
+      }
     }
   }
 
